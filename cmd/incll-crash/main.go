@@ -30,7 +30,7 @@ import (
 func main() {
 	seeds := flag.Int("seeds", 10, "number of independent campaigns")
 	workers := flag.Int("workers", 2, "concurrent mutator goroutines")
-	shards := flag.Int("shards", 1, "keyspace shards with coordinated checkpoints (1 = single store)")
+	shards := flag.Int("shards", 1, "keyspace shards with coordinated checkpoints (above 1, crashes also strike inside the two-phase checkpoint)")
 	rounds := flag.Int("rounds", 4, "crash/recover cycles per campaign")
 	keyspace := flag.Uint64("keyspace", 4000, "distinct keys")
 	ops := flag.Int("ops", 800, "operations per worker per epoch")

@@ -25,12 +25,13 @@
 // methods are a view over the same store (see Handle), and small uint64s
 // take the inline, allocation-free fast path.
 //
-// For scale-out, Options.Shards > 1 partitions the keyspace across N
-// independent store+arena shards behind the same API (see internal/shard
-// and DESIGN.md): a deterministic router places each key, scans k-way
-// merge the shards back into one ordered stream, and Checkpoint becomes a
-// coordinated two-phase epoch advance that commits a single global epoch
-// record — a crash never exposes one shard at epoch k and another at k−1.
+// Every DB is a cluster of Options.Shards independent store+arena shards
+// behind the same API (see internal/shard and DESIGN.md); the default,
+// Shards: 1, is a one-shard cluster. A deterministic router places each
+// key, scans k-way merge the shards back into one ordered stream, and
+// Checkpoint is a coordinated two-phase epoch advance that commits a
+// single global epoch record — a crash never exposes one shard at epoch k
+// and another at k−1.
 //
 //	db, _ := incll.Open(incll.Options{Shards: 4, Workers: 4})
 //	db.Handle(2).Put(incll.Key(7), 7)   // routed to key 7's shard
@@ -116,24 +117,24 @@ const minShardArenaWords = 1 << 18
 
 // Options sizes and parameterizes a DB.
 type Options struct {
-	// ArenaWords is the simulated NVM size in 8-byte words (default 2^24,
-	// i.e. 128 MiB of simulated NVM). With Shards > 1 this is the size of
-	// each shard's arena.
+	// ArenaWords is each shard's simulated NVM size in 8-byte words
+	// (default 2^24, i.e. 128 MiB of simulated NVM, divided across the
+	// shards when Shards > 1).
 	ArenaWords uint64
 	// Workers is the number of concurrent worker threads that will use
 	// Handle(i) (default 1).
 	Workers int
 	// Shards partitions the keyspace across this many independent
 	// store+arena shards with coordinated global checkpoints (default 1,
-	// a single store).
+	// a one-shard cluster).
 	Shards int
 	// HeapWords is the durable heap region size (default: half the arena).
 	HeapWords uint64
 	// LogSegWords is the per-worker external log segment (default 2^20,
-	// or 2^16 per shard when sharded).
+	// or 2^16 per shard when Shards > 1).
 	LogSegWords uint64
 	// TxnSegWords is the per-worker transaction intent segment (default
-	// 2^14, or 2^12 per shard when sharded). Bounds the write-set bytes
+	// 2^14, or 2^12 per shard when Shards > 1). Bounds the write-set bytes
 	// one worker can commit per epoch.
 	TxnSegWords uint64
 	// EpochInterval is the checkpoint cadence used by StartCheckpointer
@@ -181,7 +182,7 @@ func (o *Options) setDefaults() {
 	if o.ArenaWords == 0 {
 		o.ArenaWords = 1 << 24
 		if o.Shards > 1 {
-			// Keep the default cluster footprint near the single-store
+			// Keep the default cluster footprint near the one-shard
 			// default by splitting it across shards, but never divide the
 			// per-shard arena below a floor that still fits the epoch
 			// header, allocator metadata, log segments, and a usable heap.
@@ -214,7 +215,7 @@ func (o *Options) setDefaults() {
 	}
 }
 
-// ShardRecovery describes one shard's recovery in a sharded DB.
+// ShardRecovery describes one shard's recovery.
 type ShardRecovery struct {
 	// Status is fresh-start, clean-restart, or crash-recovered.
 	Status epoch.Status
@@ -227,19 +228,20 @@ type ShardRecovery struct {
 
 // RecoveryInfo describes what Open found.
 type RecoveryInfo struct {
-	// Status is fresh-start, clean-restart, or crash-recovered (for a
-	// sharded DB, the worst outcome across shards).
+	// Status is fresh-start, clean-restart, or crash-recovered (the worst
+	// outcome across shards).
 	Status epoch.Status
 	// LogEntriesApplied is the number of external-log pre-images replayed
 	// (summed across shards).
 	LogEntriesApplied int
 	// FailedEpochs is the cumulative number of epochs that ever failed on
-	// this arena (for a sharded DB, the largest per-shard count).
+	// a shard's arena (the largest per-shard count).
 	FailedEpochs int
 	// TxnsReplayed is the number of committed transactions whose intent
 	// records recovery re-applied (their commit outlived their epoch).
 	TxnsReplayed int
-	// Shards holds per-shard recovery detail; nil for an unsharded DB.
+	// Shards holds per-shard recovery detail, one entry per shard (never
+	// nil: a one-shard DB has one entry).
 	Shards []ShardRecovery
 }
 
@@ -259,8 +261,8 @@ type Iterator = core.Cursor
 type IterOptions = core.IterOptions
 
 // Handle is a per-worker handle; see Options.Workers. Handles are not safe
-// for concurrent use, but distinct handles are. In a sharded DB the handle
-// routes each key to its shard transparently.
+// for concurrent use, but distinct handles are. The handle routes each key
+// to its shard transparently.
 //
 // Values are byte strings up to MaxValueBytes; values of at most five
 // bytes live inline in the leaf. The uint64 methods are a view over the
@@ -407,7 +409,7 @@ func EncodeValue(v uint64) []byte { return core.EncodeValue(v) }
 // the range-over-func adapters, which yield byte values.
 func DecodeValue(b []byte) uint64 { return core.DecodeValue(b) }
 
-// engine is one topology epoch of a DB: the store(s), their options, and
+// engine is one topology epoch of a DB: the shard set, its options, and
 // the per-worker handles, bundled behind one atomic pointer so an online
 // reshard can cut the whole bundle over in a single swap. Every operation
 // resolves the live engine exactly once (DB.engine / DB.writeEngine) and
@@ -417,9 +419,7 @@ func DecodeValue(b []byte) uint64 { return core.DecodeValue(b) }
 type engine struct {
 	topo    shard.Topology
 	opts    Options      // post-defaults options this engine was sized with
-	arena   *nvm.Arena   // single-store mode
-	store   *core.Store  // single-store mode
-	sharded *shard.Store // sharded mode
+	shards  *shard.Store // the shard set (one shard when Shards is 1)
 	handles []rawHandle  // per-worker raw handles, prebuilt
 
 	// wrefs[w] counts worker w's in-flight mutations on this engine. A
@@ -441,27 +441,17 @@ type wref struct {
 	_ [7]uint64
 }
 
-// newEngine assembles an engine over an open store set (exactly one of
-// store/sharded non-nil; arena accompanies store).
-func newEngine(opts Options, arena *nvm.Arena, store *core.Store, sharded *shard.Store) *engine {
+// newEngine assembles an engine over an open shard set.
+func newEngine(opts Options, shards *shard.Store) *engine {
 	e := &engine{
+		topo:    shards.Topology(),
 		opts:    opts,
-		arena:   arena,
-		store:   store,
-		sharded: sharded,
+		shards:  shards,
 		handles: make([]rawHandle, opts.Workers),
 		wrefs:   make([]wref, opts.Workers),
 	}
-	if sharded != nil {
-		e.topo = sharded.Topology()
-		for i := range e.handles {
-			e.handles[i] = sharded.Handle(i)
-		}
-	} else {
-		e.topo = shard.Topology{Version: 1, Shards: 1}
-		for i := range e.handles {
-			e.handles[i] = store.Handle(i)
-		}
+	for i := range e.handles {
+		e.handles[i] = shards.Handle(i)
 	}
 	return e
 }
@@ -488,42 +478,25 @@ func (e *engine) drainWrites() {
 // release drops a write reference taken by DB.writeEngine.
 func (e *engine) release(w int) { e.wrefs[w].n.Add(-1) }
 
-// stores returns the per-shard core stores (length 1 when unsharded).
-func (e *engine) stores() []*core.Store {
-	if e.sharded != nil {
-		return e.sharded.Stores()
-	}
-	return []*core.Store{e.store}
-}
+// stores returns the per-shard core stores, indexed by shard.
+func (e *engine) stores() []*core.Store { return e.shards.Stores() }
 
 // advanceRaw runs one cluster-wide epoch advance directly, bypassing the
 // transaction manager's commit guard — for callers that already hold it
 // (the reshard cutover) or predate it (recovery).
-func (e *engine) advanceRaw() int {
-	if e.sharded != nil {
-		return e.sharded.Advance()
-	}
-	return e.store.Advance()
-}
+func (e *engine) advanceRaw() int { return e.shards.Advance() }
 
 // epoch is the running epoch (identical across shards).
-func (e *engine) epoch() uint64 { return e.stores()[0].Epochs().Current() }
+func (e *engine) epoch() uint64 { return e.shards.Epoch() }
 
 // seal permanently retires the engine after a reshard cutover: tickers
 // stop and any further epoch advance on its stores panics. The frozen
 // state stays readable for cursors that were opened before the cutover.
-func (e *engine) seal() {
-	if e.sharded != nil {
-		e.sharded.Seal()
-		return
-	}
-	e.store.StopTicker()
-	e.store.Epochs().Seal()
-}
+func (e *engine) seal() { e.shards.Seal() }
 
-// DB is a durable Masstree over simulated NVM: one store over one arena,
-// or — with Options.Shards > 1 — N independent shards behind the same API
-// with coordinated cross-shard checkpoints. DB.Reshard repartitions the
+// DB is a durable Masstree over simulated NVM: Options.Shards independent
+// shards (one by default) behind one API with coordinated cross-shard
+// checkpoints. DB.Reshard repartitions the
 // keyspace online (see reshard.go and DESIGN.md §13).
 type DB struct {
 	// eng is the live engine; swapped by Reshard's cutover. Resolve it
@@ -666,53 +639,25 @@ func Open(opts Options) (*DB, RecoveryInfo) {
 		panic(err)
 	}
 	opts.setDefaults()
-	manifest := shard.NewManifest(opts.FenceDelay, 1, opts.Shards)
-	if opts.Shards > 1 {
-		trace := obs.NewTracer(obs.DefaultTraceEvents)
-		stw := new(obs.Histogram)
-		phases := newPhaseSet(opts)
-		s, sinfo := shard.Open(shardConfig(opts, 1, trace, stw, phases))
-		db := &DB{manifest: manifest, rawOpts: raw, trace: trace, stw: stw, phases: phases}
-		db.eng.Store(newEngine(opts, nil, nil, s))
-		info := shardInfo(sinfo)
-		info.TxnsReplayed = db.initTxns()
-		db.traceTxnReplay(info.TxnsReplayed)
-		return db, info
+	db := &DB{
+		manifest: shard.NewManifest(opts.FenceDelay, 1, opts.Shards),
+		rawOpts:  raw,
+		trace:    obs.NewTracer(obs.DefaultTraceEvents),
+		stw:      new(obs.Histogram),
+		phases:   newPhaseSet(opts),
 	}
-	arena := nvm.New(nvm.Config{Words: opts.ArenaWords, FenceDelay: opts.FenceDelay})
-	return attach(arena, opts, raw, manifest, nil, nil, nil)
+	s, sinfo := shard.Open(shardConfig(opts, 1, db.trace, db.stw, db.phases))
+	return db, db.start(opts, s, sinfo)
 }
 
-// attach opens a single store over an existing arena. A nil trace builds a
-// fresh observability bundle (first Open); Reopen passes the crashed DB's
-// so the phase trace — and the attribution histograms — span the crash.
-func attach(arena *nvm.Arena, opts Options, raw Options, manifest *shard.Manifest, trace *obs.Tracer, stw *obs.Histogram, phases *obs.PhaseSet) (*DB, RecoveryInfo) {
-	if trace == nil {
-		trace = obs.NewTracer(obs.DefaultTraceEvents)
-		stw = new(obs.Histogram)
-		phases = newPhaseSet(opts)
-	}
-	store, status := core.Open(arena, core.Config{
-		Workers:      opts.Workers,
-		LogSegWords:  opts.LogSegWords,
-		TxnSegWords:  opts.TxnSegWords,
-		HeapWords:    opts.HeapWords,
-		DisableInCLL: opts.DisableInCLL,
-		Trace:        trace,
-		StopTheWorld: stw,
-		Phases:       phases,
-		Shard:        0,
-	})
-	db := &DB{manifest: manifest, rawOpts: raw, trace: trace, stw: stw, phases: phases}
-	db.eng.Store(newEngine(opts, arena, store, nil))
-	info := RecoveryInfo{
-		Status:            status,
-		LogEntriesApplied: store.RecoveredLogEntries(),
-		FailedEpochs:      store.Epochs().FailedCount(),
-	}
+// start installs the engine over an opened shard set and runs transaction
+// intent recovery on it, returning the merged recovery info.
+func (db *DB) start(opts Options, s *shard.Store, sinfo shard.RecoveryInfo) RecoveryInfo {
+	db.eng.Store(newEngine(opts, s))
+	info := shardInfo(sinfo)
 	info.TxnsReplayed = db.initTxns()
 	db.traceTxnReplay(info.TxnsReplayed)
-	return db, info
+	return info
 }
 
 // traceTxnReplay records the intent-recovery replay in the phase trace.
@@ -725,16 +670,11 @@ func (db *DB) traceTxnReplay(n int) {
 // currentEpoch is the running epoch (identical across shards).
 func (db *DB) currentEpoch() uint64 { return db.engine().epoch() }
 
-// initTxns builds the transaction manager over the open store(s), running
-// intent recovery; returns the number of transactions replayed.
+// initTxns builds the transaction manager over the open shard set,
+// running intent recovery; returns the number of transactions replayed.
 func (db *DB) initTxns() int {
-	e := db.eng.Load()
 	var replayed int
-	if e.sharded != nil {
-		db.txns, replayed = txn.ForCluster(e.sharded)
-	} else {
-		db.txns, replayed = txn.ForStore(e.store)
-	}
+	db.txns, replayed = txn.ForCluster(db.eng.Load().shards)
 	db.txns.Instrument(db.phases)
 	return replayed
 }
@@ -762,7 +702,8 @@ func shardInfo(si shard.RecoveryInfo) RecoveryInfo {
 // online reshard.
 func (db *DB) Handle(i int) Handle { return &dynHandle{db: db, w: i} }
 
-// Shards returns the shard count (1 for an unsharded DB).
+// Shards returns the shard count (Options.Shards, or the target count of
+// the last completed reshard).
 func (db *DB) Shards() int { return db.engine().topo.Shards }
 
 // TopoVersion returns the live topology version (1 until the first
@@ -771,30 +712,19 @@ func (db *DB) TopoVersion() uint64 { return db.engine().topo.Version }
 
 // Get returns the uint64 view of the value stored under k.
 func (db *DB) Get(k []byte) (uint64, bool) {
-	e := db.engine()
-	if e.sharded != nil {
-		return e.sharded.Get(k)
-	}
-	return e.store.Get(k)
+	return db.engine().shards.Get(k)
 }
 
 // GetBytes returns a copy of the byte value stored under k.
 func (db *DB) GetBytes(k []byte) ([]byte, bool) {
-	e := db.engine()
-	if e.sharded != nil {
-		return e.sharded.GetBytes(k)
-	}
-	return e.store.GetBytes(k)
+	return db.engine().shards.GetBytes(k)
 }
 
 // Put stores v under k; reports whether k was newly inserted.
 func (db *DB) Put(k []byte, v uint64) bool {
 	e := db.writeEngine(0)
 	defer e.release(0)
-	if e.sharded != nil {
-		return e.sharded.Put(k, v)
-	}
-	return e.store.Put(k, v)
+	return e.shards.Put(k, v)
 }
 
 // PutBytes stores the byte value v under k; reports whether k was newly
@@ -805,27 +735,21 @@ func (db *DB) PutBytes(k []byte, v []byte) (bool, error) {
 	}
 	e := db.writeEngine(0)
 	defer e.release(0)
-	if e.sharded != nil {
-		return e.sharded.PutBytes(k, v), nil
-	}
-	return e.store.PutBytes(k, v), nil
+	return e.shards.PutBytes(k, v), nil
 }
 
 // Delete removes k; reports whether it was present.
 func (db *DB) Delete(k []byte) bool {
 	e := db.writeEngine(0)
 	defer e.release(0)
-	if e.sharded != nil {
-		return e.sharded.Delete(k)
-	}
-	return e.store.Delete(k)
+	return e.shards.Delete(k)
 }
 
 // NewIter opens a cursor over the DB on worker 0's handle: bidirectional
 // (First/Last/SeekGE/SeekLT/Next/Prev), bounded by o, and
 // checkpoint-friendly — the walk holds the epoch machinery only for one
-// bounded batch at a time. On a sharded DB the per-shard cursors are
-// k-way merged, so iteration order is identical to an unsharded cursor.
+// bounded batch at a time. With several shards the per-shard cursors are
+// k-way merged, so iteration order is independent of the shard count.
 // Concurrent workers should open their own cursor via Handle(i).NewIter.
 func (db *DB) NewIter(o IterOptions) Iterator {
 	return db.engine().handles[0].NewIter(o)
@@ -875,9 +799,9 @@ func cursorSeq(open func() Iterator, reverse bool) iter.Seq2[[]byte, []byte] {
 }
 
 // Scan visits up to max keys ≥ start in ascending order (max < 0 means
-// unlimited), until fn returns false. Returns the number visited. On a
-// sharded DB the per-shard streams are k-way merged, so iteration order is
-// identical to an unsharded scan. A thin wrapper over NewIter, kept for
+// unlimited), until fn returns false. Returns the number visited. The
+// per-shard streams are k-way merged, so iteration order is independent
+// of the shard count. A thin wrapper over NewIter, kept for
 // compatibility; the key slice is only valid during the callback.
 func (db *DB) Scan(start []byte, max int, fn func(k []byte, v uint64) bool) int {
 	it := db.NewIter(IterOptions{})
@@ -896,34 +820,27 @@ func (db *DB) ScanBytes(start []byte, max int, fn func(k, v []byte) bool) int {
 // Len returns the number of live keys tracked this execution (transient;
 // call RebuildLen after a restart if an exact count is needed).
 func (db *DB) Len() int {
-	e := db.engine()
-	if e.sharded != nil {
-		return e.sharded.Len()
-	}
-	return e.store.Len()
+	return db.engine().shards.Len()
 }
 
 // RebuildLen recomputes Len with one full scan.
 func (db *DB) RebuildLen() int {
-	e := db.engine()
-	if e.sharded != nil {
-		return e.sharded.RebuildLen()
-	}
-	return e.store.RebuildLen()
+	return db.engine().shards.RebuildLen()
 }
 
 // Checkpoint ends the current epoch: quiesces workers, flushes the cache,
 // and commits everything written so far. Returns the number of cache
 // lines flushed. Equivalent to one tick of the background checkpointer.
-// On a sharded DB this is the coordinated two-phase global checkpoint.
-// Excluded against in-flight transaction commits.
+// This is the coordinated two-phase global checkpoint (Prepare every
+// shard, write the coordinator record, Commit every shard), at every shard
+// count. Excluded against in-flight transaction commits.
 func (db *DB) Checkpoint() int {
 	return db.txns.Advance()
 }
 
 // StartCheckpointer begins advancing epochs every Options.EpochInterval
-// in the background, like the paper's 64 ms timer (cluster-wide when
-// sharded, and always excluded against transaction commits).
+// in the background, like the paper's 64 ms timer (cluster-wide, and
+// excluded against transaction commits).
 func (db *DB) StartCheckpointer() {
 	db.txns.StartTicker(db.engine().opts.EpochInterval)
 }
@@ -955,12 +872,7 @@ func (db *DB) Close() {
 	}
 	db.StopRecorder()
 	db.txns.StopTicker()
-	e := db.engine()
-	if e.sharded != nil {
-		e.sharded.Shutdown()
-	} else {
-		e.store.Shutdown()
-	}
+	db.engine().shards.Shutdown()
 	db.closeHub(true)
 	for _, rs := range srvs {
 		rs.srv.Drain(5 * time.Second)
@@ -970,8 +882,8 @@ func (db *DB) Close() {
 
 // SimulateCrash injects a power failure: each dirty cache line survives
 // with probability persistFraction, everything else is lost, and the DB
-// becomes unusable until Reopen. On a sharded DB every shard arena crashes
-// together (independent per-shard survival policies derived from seed).
+// becomes unusable until Reopen. Every shard arena crashes together
+// (independent per-shard survival policies derived from seed).
 // All handles must be quiescent.
 func (db *DB) SimulateCrash(persistFraction float64, seed int64) {
 	if !db.closed.CompareAndSwap(false, true) {
@@ -984,18 +896,12 @@ func (db *DB) SimulateCrash(persistFraction float64, seed int64) {
 	db.txns.StopTicker()
 	db.closeHub(false) // the volatile journal dies with the process
 	db.manifest.Crash(persistFraction, seed)
-	e := db.engine()
-	if e.sharded != nil {
-		e.sharded.SimulateCrash(persistFraction, seed)
-		return
-	}
-	e.store.StopTicker()
-	e.arena.Crash(nvm.RandomPolicy(persistFraction, seed))
+	db.engine().shards.SimulateCrash(persistFraction, seed)
 }
 
 // Reopen recovers the DB from the arena contents after SimulateCrash (or
-// after Close, to model a clean restart). Sharded recovery runs per shard
-// in parallel. Recovery first revalidates the durable topology manifest:
+// after Close, to model a clean restart). Recovery runs per shard in
+// parallel. Recovery first revalidates the durable topology manifest:
 // the arena set being reopened must be the one the manifest says is live
 // (a crash on either side of a reshard cutover leaves exactly one side
 // both durable and named by the manifest — see DESIGN.md §13).
@@ -1004,59 +910,32 @@ func (db *DB) Reopen() (*DB, RecoveryInfo) {
 	if want := db.manifest.Recover(); !want.Equal(e.topo) {
 		panic(fmt.Sprintf("incll: durable topology manifest %+v does not name the open engine's topology %+v", want, e.topo))
 	}
-	if e.sharded != nil {
-		s, sinfo := e.sharded.Reopen()
-		// The shard config — tracer included — carries over, so the phase
-		// trace spans the crash: the recovery events land in the same ring
-		// the pre-crash checkpoints did.
-		db2 := &DB{manifest: db.manifest, rawOpts: db.rawOpts, trace: db.trace, stw: db.stw, phases: db.phases}
-		db2.eng.Store(newEngine(e.opts, nil, nil, s))
-		info := shardInfo(sinfo)
-		info.TxnsReplayed = db2.initTxns()
-		db2.traceTxnReplay(info.TxnsReplayed)
-		return db2, info
-	}
-	e.arena.ResetReservations()
-	return attach(e.arena, e.opts, db.rawOpts, db.manifest, db.trace, db.stw, db.phases)
+	s, sinfo := e.shards.Reopen()
+	// The shard config — tracer included — carries over, so the phase
+	// trace spans the crash: the recovery events land in the same ring the
+	// pre-crash checkpoints did.
+	db2 := &DB{manifest: db.manifest, rawOpts: db.rawOpts, trace: db.trace, stw: db.stw, phases: db.phases}
+	return db2, db2.start(e.opts, s, sinfo)
 }
 
 // Stats exposes the store's counters (logging, InCLL usage, the value
 // heap, recovery). Reading them (Load) is safe at any time, concurrently
 // with writers and the background checkpointer; each read is a sum over
 // per-worker stripes, so it is monotone but not a single atomic snapshot
-// across counters. For an unsharded DB the returned struct is live; for a
-// sharded DB it is a point-in-time aggregate across shards — equal to the
-// sum of ShardStats(i) over all shards when writers are quiescent — so
-// call Stats again for fresh values, and use ShardStats for the (live)
-// per-shard view. Prefer DB.Metrics for a coherent typed snapshot.
-func (db *DB) Stats() *core.Stats {
-	e := db.engine()
-	if e.sharded != nil {
-		return e.sharded.Stats()
-	}
-	return e.store.Stats()
-}
+// across counters. The returned struct is a point-in-time aggregate
+// across shards, at every shard count — equal to the sum of ShardStats(i)
+// over all shards when writers are quiescent — so call Stats again for
+// fresh values, and use ShardStats for the (live) per-shard view. Prefer
+// DB.Metrics for a coherent typed snapshot.
+func (db *DB) Stats() *core.Stats { return db.engine().shards.Stats() }
 
-// ShardStats returns shard i's live counters (i < Shards()). For an
-// unsharded DB, ShardStats(0) is Stats.
-func (db *DB) ShardStats(i int) *core.Stats {
-	e := db.engine()
-	if e.sharded != nil {
-		return e.sharded.ShardStore(i).Stats()
-	}
-	return e.store.Stats()
-}
+// ShardStats returns shard i's live counters (i < Shards()).
+func (db *DB) ShardStats(i int) *core.Stats { return db.engine().shards.ShardStore(i).Stats() }
 
 // NVMStats exposes the simulated memory subsystem's counters (writebacks,
-// fences, flushed lines, crash outcomes), summed across arenas when
-// sharded.
-func (db *DB) NVMStats() nvm.StatsSnapshot {
-	e := db.engine()
-	if e.sharded != nil {
-		return e.sharded.NVMStats()
-	}
-	return e.arena.Stats().Snapshot()
-}
+// fences, flushed lines, crash outcomes), summed across the shard arenas
+// and the coordinator record's arena.
+func (db *DB) NVMStats() nvm.StatsSnapshot { return db.engine().shards.NVMStats() }
 
 // ---- transactions ----
 

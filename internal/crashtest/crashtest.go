@@ -81,12 +81,20 @@ func (c *Config) setDefaults() {
 // the dump where CI picks it up, so a red crash-matrix run ships the
 // exact sequence of protocol events that led to the divergence.
 func Run(cfg Config, seed int64) error {
+	if cfg.Shards > 1 {
+		return runShardedCampaign(cfg, seed)
+	}
 	cfg.setDefaults()
 	trace := obs.NewTracer(obs.DefaultTraceEvents)
-	if cfg.Shards > 1 {
-		return dumpTraceOnFailure("sharded", seed, trace.Dump, runSharded(cfg, seed, trace))
-	}
 	return dumpTraceOnFailure("core", seed, trace.Dump, run(cfg, seed, trace))
+}
+
+// runShardedCampaign runs the sharded campaign at cfg.Shards (1 included:
+// a one-shard cluster still commits through the coordinator record).
+func runShardedCampaign(cfg Config, seed int64) error {
+	cfg.setDefaults()
+	trace := obs.NewTracer(obs.DefaultTraceEvents)
+	return dumpTraceOnFailure("sharded", seed, trace.Dump, runSharded(cfg, seed, trace))
 }
 
 // dumpTraceOnFailure routes a failing campaign's phase trace where CI can

@@ -41,10 +41,12 @@ func TestCrashCampaignManySmallEpochs(t *testing.T) {
 }
 
 func TestCrashShardedCampaignsRecoverExactly(t *testing.T) {
-	cfg := Config{Shards: 4, Workers: 2, Rounds: 3, Keyspace: 2000, OpsPerEpoch: 400}
-	for seed := int64(0); seed < 3; seed++ {
-		if err := Run(cfg, seed); err != nil {
-			t.Fatalf("sharded seed %d: %v", seed, err)
+	for _, shards := range []int{1, 4} {
+		cfg := Config{Shards: shards, Workers: 2, Rounds: 3, Keyspace: 2000, OpsPerEpoch: 400}
+		for seed := int64(0); seed < 3; seed++ {
+			if err := runShardedCampaign(cfg, seed); err != nil {
+				t.Fatalf("%d shards, seed %d: %v", shards, seed, err)
+			}
 		}
 	}
 }
@@ -62,11 +64,13 @@ func TestCrashCampaignByteValues(t *testing.T) {
 }
 
 func TestCrashShardedCampaignByteValues(t *testing.T) {
-	cfg := Config{Shards: 4, Workers: 2, Rounds: 3, Keyspace: 1200,
-		OpsPerEpoch: 300, ValueBytes: 1500, ArenaWords: 1 << 24}
-	for seed := int64(0); seed < 2; seed++ {
-		if err := Run(cfg, seed); err != nil {
-			t.Fatalf("sharded seed %d: %v", seed, err)
+	for _, shards := range []int{1, 4} {
+		cfg := Config{Shards: shards, Workers: 2, Rounds: 3, Keyspace: 1200,
+			OpsPerEpoch: 300, ValueBytes: 1500, ArenaWords: 1 << 24}
+		for seed := int64(0); seed < 2; seed++ {
+			if err := runShardedCampaign(cfg, seed); err != nil {
+				t.Fatalf("%d shards, seed %d: %v", shards, seed, err)
+			}
 		}
 	}
 }

@@ -102,15 +102,11 @@ type PhaseSummary struct {
 
 // record converts one run's result.
 func record(r Result) BenchRecord {
-	shards := r.Config.Shards
-	if shards < 1 {
-		shards = 1
-	}
 	rec := BenchRecord{
 		Workload:   r.Config.Workload.String(),
 		Mode:       r.Config.Mode.String(),
 		Dist:       r.Config.Dist.String(),
-		Shards:     shards,
+		Shards:     r.Config.Shards,
 		TxnMode:    r.Config.TxnMode.String(),
 		ValueSize:  r.Config.ValueSize,
 		Threads:    r.Config.Threads,

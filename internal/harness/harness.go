@@ -109,7 +109,8 @@ type RunConfig struct {
 
 	// Shards partitions the keyspace across this many independent durable
 	// stores with coordinated global checkpoints (durable modes only;
-	// default 1, the single store the paper evaluates).
+	// default 1, a one-shard cluster holding the single tree the paper
+	// evaluates).
 	Shards int
 
 	// ValueSize, when > 0, switches the durable workloads to
@@ -168,6 +169,9 @@ func (c *RunConfig) setDefaults() {
 	}
 	if c.Threads <= 0 {
 		c.Threads = 4
+	}
+	if c.Shards <= 0 {
+		c.Shards = 1
 	}
 	if c.OpsPerThread <= 0 {
 		c.OpsPerThread = 200_000
@@ -275,10 +279,7 @@ func Run(cfg RunConfig) Result {
 		if cfg.ValueSize > 0 && cfg.TxnMode != TxnNone {
 			panic("harness: ValueSize and TxnMode are mutually exclusive (transfers are uint64 accounts)")
 		}
-		if cfg.Shards > 1 {
-			return runSharded(cfg)
-		}
-		return runDurable(cfg)
+		return runSharded(cfg)
 	}
 }
 
@@ -410,98 +411,17 @@ func preloadValue(cfg RunConfig, k uint64) uint64 {
 	return k
 }
 
-func runDurable(cfg RunConfig) Result {
-	arenaWords, heapWords, segWords := SizeArena(cfg)
-	coreCfg := core.Config{
-		Workers:      cfg.Threads,
-		LogSegWords:  segWords,
-		HeapWords:    heapWords,
-		DisableInCLL: cfg.Mode == LOGGING,
-	}
-	if cfg.TxnMode != TxnNone {
-		coreCfg.TxnSegWords = txnSegWords
-		arenaWords += txnSegWords*uint64(cfg.Threads) + 1<<18
-	}
-	a := nvm.New(nvm.Config{
-		Words:         arenaWords,
-		FenceDelay:    cfg.FenceDelay,
-		DirtyCapacity: cfg.DirtyCapacity,
-		Seed:          cfg.Seed,
-	})
-	s, _ := core.Open(a, coreCfg)
-
-	preload(cfg, func(w int) kvHandle { return s.Handle(w) })
-	s.Advance() // commit the load and reset counters against a clean epoch
-
-	// Instrument after the preload commit: its whole-arena flush would
-	// otherwise dominate the stop-the-world histogram's tail, and the
-	// attribution histograms should describe the measured phase only.
-	stw := new(obs.Histogram)
-	s.Epochs().Instrument(nil, stw, 0)
-	phases := runPhases(cfg)
-	s.InstrumentPhases(phases)
-
-	var m *txn.Manager
-	if cfg.TxnMode != TxnNone {
-		m, _ = txn.ForStore(s)
-		m.Instrument(phases)
-	}
-
-	st0 := s.Stats()
-	logged0 := st0.LoggedNodes.Load()
-	perm0 := st0.InCLLPerm.Load()
-	val0 := st0.InCLLVal.Load()
-	as0 := a.Stats().Snapshot()
-	adv0 := s.Epochs().Advances()
-
-	handle := func(w int) kvHandle { return s.Handle(w) }
-	bytesMoved := make([]int64, cfg.Threads)
-	do := durableOps(cfg, handle, bytesMoved)
-	if m != nil {
-		do = durableTxnOps(cfg, m, handle)
-		m.StartTicker(cfg.EpochInterval)
-	} else {
-		s.StartTicker(cfg.EpochInterval)
-	}
-	elapsed, lats, timeline := runWorkers(cfg, do)
-	if m != nil {
-		m.StopTicker()
-	} else {
-		s.StopTicker()
-	}
-
-	as := a.Stats().Snapshot().Sub(as0)
-	ops := int64(cfg.Threads) * int64(cfg.OpsPerThread)
-	_ = as0
-	r := Result{
-		Config:       cfg,
-		Elapsed:      elapsed,
-		Ops:          ops,
-		Throughput:   float64(ops) / elapsed.Seconds(),
-		LoggedNodes:  st0.LoggedNodes.Load() - logged0,
-		InCLLPerm:    st0.InCLLPerm.Load() - perm0,
-		InCLLVal:     st0.InCLLVal.Load() - val0,
-		Fences:       as.Fences,
-		FlushedLines: as.LinesPersisted,
-		Evictions:    as.Evictions,
-		Advances:     s.Epochs().Advances() - adv0,
-		Timeline:     timeline,
-	}
-	r.CheckpointSTW = stw.Snapshot()
-	fillPhases(&r, phases)
-	fillLatencies(&r, lats)
-	fillByteResult(&r, cfg, bytesMoved, elapsed)
-	fillTxnResult(&r, cfg, m, elapsed, handle(0))
-	return r
-}
-
-// runSharded measures a sharded cluster: N stores over N arenas behind the
-// key router, checkpointed by the coordinated global ticker.
+// runSharded measures a durable mode on a cluster: N stores over N arenas
+// behind the key router, checkpointed by the coordinated global ticker.
 func runSharded(cfg RunConfig) Result {
 	// Size each shard's arena for its slice of the keyspace (routing is
-	// hash-spread, so slices are near-even; the slack term absorbs skew).
+	// hash-spread, so slices are near-even; with several shards the slack
+	// term absorbs skew).
 	per := cfg
-	per.TreeSize = cfg.TreeSize/uint64(cfg.Shards) + cfg.TreeSize/uint64(4*cfg.Shards)
+	per.TreeSize = cfg.TreeSize / uint64(cfg.Shards)
+	if cfg.Shards > 1 {
+		per.TreeSize += cfg.TreeSize / uint64(4*cfg.Shards)
+	}
 	arenaWords, heapWords, segWords := SizeArena(per)
 	shardCfg := shard.Config{
 		Shards:       cfg.Shards,
@@ -525,9 +445,11 @@ func runSharded(cfg RunConfig) Result {
 	preload(cfg, func(w int) kvHandle { return s.Handle(w) })
 	s.Advance() // commit the load against a clean global epoch
 
-	// Instrument after the preload commit (see runDurable); every shard's
-	// window lands in the one histogram, one sample per shard per advance,
-	// and all shards share one attribution timer.
+	// Instrument after the preload commit: its whole-arena flush would
+	// otherwise dominate the stop-the-world histogram's tail, and the
+	// attribution histograms should describe the measured phase only.
+	// Every shard's window lands in the one histogram, one sample per shard
+	// per advance, and all shards share one attribution timer.
 	stw := new(obs.Histogram)
 	phases := runPhases(cfg)
 	for i := 0; i < cfg.Shards; i++ {
@@ -749,7 +671,7 @@ func (wi *workerIters) iter(w int) core.Cursor {
 
 // scan runs one YCSB-E scan op through worker w's cursor, touching every
 // value; with sumBytes it returns the visited payload bytes (the byte
-// workload's metric). Honours ScanReverse. The unsharded cursor is
+// workload's metric). Honours ScanReverse. The one-shard cursor is
 // type-specialized — what any perf-sensitive client does for its hot
 // loop: the concrete calls inline, where the interface-dispatched merge
 // path cannot. Both loop bodies break before the post-advance so a
@@ -805,7 +727,7 @@ func (wi *workerIters) scan(w int, op ycsb.Op, sumBytes bool) (bytes int64) {
 }
 
 // durableOps builds the measured-phase op dispatcher over per-worker
-// handles (shared by the single-store and sharded durable runs). Scans go
+// handles (shared by every durable mode and shard count). Scans go
 // through the cursor API (one re-seeked iterator per worker) unless
 // LegacyScan selects the callback path. With ValueSize > 0 it dispatches
 // the byte-valued mix and accumulates the payload bytes each worker moves
@@ -930,35 +852,53 @@ type progressSlot struct {
 	_ [56]byte
 }
 
-// sampleTimeline folds one interval into the series and returns the new
-// cumulative baseline.
-func sampleTimeline(tl []TimelinePoint, start, now time.Time, prevOps int64, prevBins []int64,
-	progress []progressSlot, hists []latHist) ([]TimelinePoint, int64, []int64) {
+// timeline is the per-interval series under construction. It keeps the
+// cumulative baseline its last point was measured from, so a sample that
+// lands in the last point's millisecond can be folded into that point.
+type timeline struct {
+	start  time.Time
+	points []TimelinePoint
+	// The cumulative ms, op count and latency bins before the last point
+	// (base*) and at it (ops, bins).
+	baseMS, baseOps int64
+	baseBins        []int64
+	ops             int64
+	bins            []int64
+}
+
+// sampleTimeline folds the interval ending at now into the series. A
+// sample in the same millisecond as the last point (the final partial
+// point right after a tick) is folded into that point — its cumulative
+// ops and latency bins — so MS stays strictly increasing.
+func sampleTimeline(tl *timeline, now time.Time, progress []progressSlot, hists []latHist) {
 	var total int64
 	for i := range progress {
 		total += progress[i].n.Load()
 	}
-	var prevMS int64
-	if n := len(tl); n > 0 {
-		prevMS = tl[n-1].MS
+	ms := now.Sub(tl.start).Milliseconds()
+	if n := len(tl.points); n > 0 && ms <= tl.points[n-1].MS {
+		ms = tl.points[n-1].MS
+		tl.points = tl.points[:n-1]
+	} else if n > 0 {
+		tl.baseMS, tl.baseOps, tl.baseBins = tl.points[n-1].MS, tl.ops, tl.bins
 	}
-	ms := now.Sub(start).Milliseconds()
-	dt := float64(ms-prevMS) / 1000
+	dt := float64(ms-tl.baseMS) / 1000
 	if dt <= 0 {
 		dt = 1e-9
 	}
 	bins := mergedBins(hists)
-	delta := obs.BinsSub(bins, prevBins)
+	delta := obs.BinsSub(bins, tl.baseBins)
 	p := TimelinePoint{
 		MS:        ms,
 		Ops:       total,
-		OpsPerSec: float64(total-prevOps) / dt,
+		OpsPerSec: float64(total-tl.baseOps) / dt,
 	}
 	if obs.BinsCount(delta) > 0 {
 		p.P50Micros = float64(obs.BinsQuantile(delta, 0.50)) / 1000
 		p.P99Micros = float64(obs.BinsQuantile(delta, 0.99)) / 1000
 	}
-	return append(tl, p), total, bins
+	tl.points = append(tl.points, p)
+	tl.ops, tl.bins = total, bins
 }
 
 // runWorkers executes the measured phase, sampling per-op latency (one op
@@ -979,19 +919,17 @@ func runWorkers(cfg RunConfig, do func(worker int, op ycsb.Op, i int)) (time.Dur
 	var wg sync.WaitGroup
 	start := time.Now()
 	go func() {
-		var tl []TimelinePoint
-		var prevOps int64
-		var prevBins []int64
+		tl := timeline{start: start}
 		t := time.NewTicker(cfg.TimelineInterval)
 		defer t.Stop()
 		for {
 			select {
 			case now := <-t.C:
-				tl, prevOps, prevBins = sampleTimeline(tl, start, now, prevOps, prevBins, progress, hists)
+				sampleTimeline(&tl, now, progress, hists)
 			case <-stopTL:
 				// Final partial interval, so short runs still get a point.
-				tl, _, _ = sampleTimeline(tl, start, time.Now(), prevOps, prevBins, progress, hists)
-				tlDone <- tl
+				sampleTimeline(&tl, time.Now(), progress, hists)
+				tlDone <- tl.points
 				return
 			}
 		}

@@ -29,8 +29,13 @@ const (
 )
 
 // NewIter opens a cursor over the whole cluster on worker i's per-shard
-// handles. Not safe for concurrent use, like the handle itself.
+// handles. Not safe for concurrent use, like the handle itself. A
+// one-shard cluster has nothing to merge, so it returns the shard's own
+// core cursor.
 func (h Handle) NewIter(o core.IterOptions) core.Cursor {
+	if len(h.s.shards) == 1 {
+		return h.s.shards[0].Handle(h.i).NewIter(o)
+	}
 	its := make([]core.Cursor, len(h.s.shards))
 	for i, sh := range h.s.shards {
 		its[i] = sh.Handle(h.i).NewIter(o)

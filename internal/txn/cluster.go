@@ -5,12 +5,6 @@ import (
 	"incll/internal/shard"
 )
 
-// ForStore assembles a Manager over one unsharded store and runs intent
-// recovery, returning the number of transactions replayed.
-func ForStore(s *core.Store) (*Manager, int) {
-	return New(Config{Stores: []*core.Store{s}})
-}
-
 // ForCluster assembles a Manager over a sharded cluster — its per-shard
 // stores, the deterministic router, and the coordinated two-phase advance
 // — and runs intent recovery, returning the number of transactions

@@ -253,7 +253,7 @@ func (db *DB) resetRegistry() {
 	db.regMu.Unlock()
 }
 
-// stores lists the per-shard core stores (one entry when unsharded).
+// stores lists the per-shard core stores, indexed by shard.
 func (db *DB) stores() []*core.Store {
 	return db.engine().stores()
 }

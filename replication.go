@@ -66,7 +66,7 @@ type Change struct {
 	Key, Value []byte
 	// Epoch is the (globally committed) epoch the mutation belongs to.
 	Epoch uint64
-	// Shard is the source shard (0 on an unsharded DB).
+	// Shard is the source shard (0 on a one-shard DB).
 	Shard int
 }
 

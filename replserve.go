@@ -415,14 +415,15 @@ type Follower struct {
 	o    FollowerOptions
 	cli  *replnet.Client
 
-	mu       sync.RWMutex
-	store    *storeRef
-	anchor   uint64
-	applied  uint64
-	bytes    uint64
-	bootInfo SnapshotInfo
-	promoted bool
-	closed   bool
+	mu         sync.RWMutex
+	store      *storeRef
+	bootstraps int64 // store generations swapped in (see Bootstraps)
+	anchor     uint64
+	applied    uint64
+	bytes      uint64
+	bootInfo   SnapshotInfo
+	promoted   bool
+	closed     bool
 
 	// Recorder arming, replayed onto every bootstrap generation (each
 	// reconnect builds a fresh DB, which would otherwise come up with no
@@ -516,6 +517,7 @@ func (f *Follower) netBootstrap(r io.Reader) (uint64, error) {
 	}
 	old := f.store
 	f.store = newStoreRef(db)
+	f.bootstraps++
 	f.anchor = info.AnchorEpoch
 	f.applied = info.AnchorEpoch
 	f.bootInfo = info
@@ -632,6 +634,16 @@ func (f *Follower) Down() (bool, time.Duration) {
 
 // Reconnects counts sessions ended (dial failures included).
 func (f *Follower) Reconnects() int64 { return f.cli.Reconnects() }
+
+// Bootstraps counts the store generations the follower has swapped in:
+// one per completed snapshot bootstrap, the first included. Unlike
+// Reconnects, it moves only once a new session has actually delivered a
+// fresh store.
+func (f *Follower) Bootstraps() int64 {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.bootstraps
+}
 
 // Lag reports how far the follower trails the primary's last-heard
 // released horizon.
@@ -757,7 +769,7 @@ func (db *DB) registerFollowerGauges(f *Follower) {
 			"Released epochs this follower still trails the primary by.", "",
 			func() int64 { return int64(f.Lag().Epochs) })
 		reg.Counter("incll_replnet_reconnects_total",
-			"Follower sessions ended (each retried with backoff).", "",
+			"Ended follower sessions, dial failures included (each retried with backoff).", "",
 			func() int64 { return f.Reconnects() })
 		reg.Gauge("incll_replnet_connected",
 			"1 while a live session is streaming from the primary.", "",

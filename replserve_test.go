@@ -199,6 +199,7 @@ func TestFollowerReadsSurviveRebootstrap(t *testing.T) {
 	// Each bounce kills the session; the follower re-bootstraps into a
 	// fresh store, retiring the previous generation under the readers.
 	for i := 0; i < 3; i++ {
+		before := f.Bootstraps()
 		rs.Close()
 		var lis2 net.Listener
 		waitCond(t, "listener rebind", func() bool {
@@ -209,12 +210,11 @@ func TestFollowerReadsSurviveRebootstrap(t *testing.T) {
 			lis2 = l
 			return true
 		})
-		before := f.Reconnects()
 		if rs, err = db.ServeReplication(lis2, srvOpts); err != nil {
 			t.Fatalf("re-serve %d: %v", i, err)
 		}
 		waitCond(t, "follower re-bootstrapped", func() bool {
-			return f.Connected() && f.Reconnects() > before
+			return f.Connected() && f.Bootstraps() > before
 		})
 	}
 	close(stop)

@@ -186,8 +186,8 @@ func (db *DB) Reshard(newShards int) (ReshardResult, error) {
 	// Build: a fresh shard set at the next topology version, sized from
 	// the original options so per-shard defaults derive from the NEW shard
 	// count (the donor's post-default sizes are already divided by the old
-	// one). Targets are always shard.Store-backed, even at one shard, so
-	// an unsharded DB can reshard outward and a cluster can fold to one.
+	// one). A one-shard DB reshards outward and a cluster folds to one
+	// shard the same way.
 	topts := db.rawOpts
 	topts.Shards = newShards
 	topts.setDefaults()
@@ -343,7 +343,7 @@ func (db *DB) Reshard(newShards int) (ReshardResult, error) {
 		if err := db.fireReshard("cutover-manifest"); err != nil {
 			commitErr = fmt.Errorf("incll: reshard committed; post-commit hook: %w", err)
 		}
-		db.eng.Store(newEngine(topts, nil, nil, target))
+		db.eng.Store(newEngine(topts, target))
 		close(gated.gate)
 		pause = time.Since(t0)
 		return true, commitErr
